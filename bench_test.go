@@ -485,6 +485,24 @@ func BenchmarkEngine_KernelPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkCalibrate profiles the standard MP3 training program under
+// every standard cache configuration: the calibration step that dominates
+// a one-shot esetlm run.
+func BenchmarkCalibrate(b *testing.B) {
+	prog, err := apps.CompileMP3("SW", apps.TrainMP3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rep, err := rtl.CalibrateReport(pum.MicroBlaze(), prog, "main", pum.StandardCacheConfigs, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(rep.Steps))
+	}
+}
+
 func BenchmarkEngine_CacheAccess(b *testing.B) {
 	c := cache.New(cache.Config{Size: 8192, LineBytes: 16, Assoc: 2})
 	b.ResetTimer()

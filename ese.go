@@ -241,9 +241,9 @@ func EstimateBlock(b *Block, p *PUM) Estimate {
 	return core.BlockDelay(b, p, core.FullDetail)
 }
 
-// Calibrate profiles a training process on the cycle-accurate board CPU for
-// the standard cache configurations and returns a PUM with measured
-// statistical memory and branch models.
+// Calibrate profiles a training process against the board's caches and
+// branch predictor for the standard cache configurations and returns a PUM
+// with measured statistical memory and branch models.
 func Calibrate(base *PUM, trainProg *Program, entry string) (*PUM, error) {
 	return rtl.Calibrate(base, trainProg, entry, pum.StandardCacheConfigs, 0)
 }

@@ -1,4 +1,4 @@
-// Package cache implements a set-associative, write-allocate, LRU cache
+// Package cache implements a set-associative, write-allocate cache
 // simulator. It is the memory-hierarchy substrate of the cycle-accurate
 // board model and of PUM calibration: the statistical hit rates in the
 // processing unit model are profiled against these caches.
@@ -14,15 +14,27 @@ type Config struct {
 // DefaultLine is the line size used across the board model.
 const DefaultLine = 16
 
-// Cache is one direct-mapped or set-associative cache with true LRU
-// replacement.
+// Cache is one direct-mapped or set-associative cache.
+//
+// Replacement is not LRU: a miss fills the first invalid way of its set,
+// and once the set is full it evicts the last way. Hits change no state,
+// so the valid ways of a set are always a prefix of it. This is the policy
+// the board and the calibrated models were measured with; switching to
+// real LRU changes every board cycle count.
 type Cache struct {
 	cfg      Config
 	sets     int
 	lineBits uint
-	tags     [][]uint32 // [set][way] tag (tag 0 means empty via valid bit)
-	valid    [][]bool
-	lru      [][]uint8 // lower value = more recently used
+	setMask  uint64 // sets-1 when sets is a power of two, else 0 (use %)
+	pow2     bool
+	// keys holds line number + 1 per way at [set*Assoc+way]; 0 is an
+	// empty way. The key is 64 bits wide so every 32-bit line number,
+	// including 0xFFFFFFFF (one-byte lines), stays distinct from empty.
+	keys []uint64
+	// last is the key of the previous access, 0 when unknown. That line
+	// is resident (it was just hit or filled) and a hit changes no state,
+	// so repeating it is a hit without a lookup.
+	last uint64
 
 	Accesses uint64
 	Misses   uint64
@@ -70,14 +82,11 @@ func New(cfg Config) *Cache {
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
 	}
-	c.tags = make([][]uint32, c.sets)
-	c.valid = make([][]bool, c.sets)
-	c.lru = make([][]uint8, c.sets)
-	for s := 0; s < c.sets; s++ {
-		c.tags[s] = make([]uint32, cfg.Assoc)
-		c.valid[s] = make([]bool, cfg.Assoc)
-		c.lru[s] = make([]uint8, cfg.Assoc)
+	c.pow2 = c.sets&(c.sets-1) == 0
+	if c.pow2 {
+		c.setMask = uint64(c.sets - 1)
 	}
+	c.keys = make([]uint64, c.sets*cfg.Assoc)
 	return c
 }
 
@@ -103,54 +112,37 @@ func (c *Cache) Enabled() bool { return c.sets > 0 }
 // hit. Misses allocate the line (write-allocate for stores as well).
 func (c *Cache) Access(addr uint32) bool {
 	c.Accesses++
+	return uint64(addr>>c.lineBits)+1 == c.last || c.lookup(addr)
+}
+
+// lookup resolves an access that missed the last-line memo.
+func (c *Cache) lookup(addr uint32) bool {
 	if c.sets == 0 {
 		c.Misses++
 		return false
 	}
-	line := addr >> c.lineBits
-	set := int(line) % c.sets
-	tag := line / uint32(c.sets)
-	ways := c.cfg.Assoc
-	for w := 0; w < ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.touch(set, w)
+	line := uint64(addr >> c.lineBits)
+	key := line + 1
+	set := line & c.setMask
+	if !c.pow2 {
+		set = line % uint64(c.sets)
+	}
+	base := int(set) * c.cfg.Assoc
+	ways := c.keys[base : base+c.cfg.Assoc]
+	c.last = key
+	for w, k := range ways {
+		if k == key {
 			return true
+		}
+		if k == 0 { // valid ways are a prefix: the line is absent
+			c.Misses++
+			ways[w] = key
+			return false
 		}
 	}
 	c.Misses++
-	// Choose victim: first invalid way, else LRU (highest counter).
-	victim := -1
-	for w := 0; w < ways; w++ {
-		if !c.valid[set][w] {
-			victim = w
-			break
-		}
-	}
-	if victim < 0 {
-		worst := uint8(0)
-		victim = 0
-		for w := 0; w < ways; w++ {
-			if c.lru[set][w] >= worst {
-				worst = c.lru[set][w]
-				victim = w
-			}
-		}
-	}
-	c.valid[set][victim] = true
-	c.tags[set][victim] = tag
-	c.touch(set, victim)
+	ways[len(ways)-1] = key
 	return false
-}
-
-// touch marks the way most-recently-used.
-func (c *Cache) touch(set, way int) {
-	cur := c.lru[set][way]
-	for w := range c.lru[set] {
-		if c.lru[set][w] < cur {
-			c.lru[set][w]++
-		}
-	}
-	c.lru[set][way] = 0
 }
 
 // HitRate returns the observed hit rate (1.0 when no accesses were made,
@@ -162,20 +154,16 @@ func (c *Cache) HitRate() float64 {
 	return 1.0 - float64(c.Misses)/float64(c.Accesses)
 }
 
-// ResetStats clears the counters but keeps cache contents.
+// ResetStats clears the counters and the last-line memo but keeps cache
+// contents.
 func (c *Cache) ResetStats() {
 	c.Accesses = 0
 	c.Misses = 0
+	c.last = 0
 }
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-			c.lru[s][w] = 0
-			c.tags[s][w] = 0
-		}
-	}
+	clear(c.keys)
 	c.ResetStats()
 }

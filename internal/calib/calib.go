@@ -29,12 +29,12 @@ type Training struct {
 }
 
 // Calibrate is the multi-program generalization of rtl.Calibrate: each
-// training program is profiled on the cycle-accurate processor model for
-// every cached configuration, and the resulting statistics are merged into
-// one model by unweighted averaging — per configuration for the memory
-// table, across programs for the branch misprediction ratio. The returned
-// PUM carries one provenance entry per (configuration, program) pair; the
-// per-program reports are returned alongside for inspection.
+// training program is profiled against the board's caches and predictor
+// for every cached configuration, and the resulting statistics are merged
+// into one model by unweighted averaging — per configuration for the
+// memory table, across programs for the branch misprediction ratio. The
+// returned PUM carries one provenance entry per (configuration, program)
+// pair; the per-program reports are returned alongside for inspection.
 //
 // With a single training program this is exactly rtl.CalibrateReport with
 // the provenance relabeled from the entry name to the training name.

@@ -328,9 +328,9 @@ func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *
 	return nil
 }
 
-// runCalibrate is the internal/calib flow: profile the training set on
-// the cycle-accurate processor model and return the calibrated PUM with
-// its provenance. Steps bounds each profiling run (0 = none).
+// runCalibrate is the internal/calib flow: profile the training set
+// against the board's caches and predictor and return the calibrated PUM
+// with its provenance. Steps bounds each profiling run (0 = none).
 func (r *Runner) runCalibrate(ctx context.Context, s *Spec, res *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err

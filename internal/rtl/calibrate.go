@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"ese/internal/branch"
+	"ese/internal/cache"
 	"ese/internal/cdfg"
 	"ese/internal/iss"
 	"ese/internal/pum"
@@ -45,22 +47,31 @@ type CalibReport struct {
 	Uncached []pum.CacheCfg
 	// BranchMiss is the misprediction ratio recorded into the model. The
 	// branch predictor sees the same retired instruction stream whatever
-	// the caches do, so the ratio is config-independent; Calibrate asserts
-	// that instead of silently taking whichever config came first.
+	// the caches do, and calibration drives one predictor with that one
+	// stream, so every Stats entry carries this same value.
 	BranchMiss float64
-	// Steps is the dynamic instruction count of one profiling run
-	// (identical across configurations, asserted).
+	// Steps is the dynamic instruction count of the profiling run, shared
+	// by every Stats entry.
 	Steps uint64
 }
 
-// Calibrate profiles a training process on the cycle-accurate processor
-// model for each cache configuration and returns a copy of the base PUM
-// whose statistical memory table and branch misprediction ratio hold the
-// measured values — the way a designer populates the paper's statistical
-// memory and branch delay models. The training entry must be a
+// Calibrate profiles a training process against the board's caches and
+// branch predictor for each cache configuration and returns a copy of the
+// base PUM whose statistical memory table and branch misprediction ratio
+// hold the measured values — the way a designer populates the paper's
+// statistical memory and branch delay models. The training entry must be a
 // self-contained process (no channel communication), typically a reduced
 // or representative input; evaluating on different inputs is what makes the
 // statistical model approximate.
+//
+// The training process retires once, on a functional machine. Each
+// retired instruction's fetch address goes to one I-cache per distinct
+// I-cache size, its data addresses to one D-cache per distinct D-cache
+// size, and its conditional branch outcome to one predictor, in program
+// order — exactly the accesses the cycle-accurate CPU makes per retired
+// instruction, so the statistics equal a separate CPU run per
+// configuration. The run fails once it has retired more than limit
+// instructions (0 = no limit) without finishing.
 //
 // Configuration semantics:
 //   - {0,0} is uncached: no statistics are needed, the configuration is
@@ -71,13 +82,10 @@ type CalibReport struct {
 //     latency on every access and is recorded with hit rate 0; real
 //     statistics are measured for the present side.
 //
-// Branch model: the misprediction ratio is measured under every cached
-// configuration and asserted identical (the predictor sees the same
-// retired instruction stream whatever the caches do); the common value is
-// recorded, with per-config provenance in the returned PUM's Calib list
-// and in the CalibReport. A divergence means the training program is not
-// self-contained (its instruction stream varied between runs) and is an
-// error, not a silent first-config pick.
+// Branch model: the predictor sees one retired instruction stream, so the
+// misprediction ratio is config-independent by construction; it is
+// recorded in the model, with per-config provenance in the returned PUM's
+// Calib list and in the CalibReport.
 func Calibrate(base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum.CacheCfg, limit uint64) (*pum.PUM, error) {
 	out, _, err := CalibrateReport(base, prog, entry, cfgs, limit)
 	return out, err
@@ -90,61 +98,106 @@ func CalibrateReport(base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum
 	if err != nil {
 		return nil, nil, err
 	}
-	out := base.Clone()
-	out.Calib = nil // recalibration replaces any prior provenance
 	rep := &CalibReport{Train: entry, Entry: entry}
+	var cached []pum.CacheCfg
 	for _, cfg := range cfgs {
 		if cfg.ISize == 0 && cfg.DSize == 0 {
 			// The uncached configuration needs no statistics: every access
 			// pays the external latency (see PUM.WithCache).
 			rep.Uncached = append(rep.Uncached, cfg)
-			continue
+		} else {
+			cached = append(cached, cfg)
 		}
-		m := iss.NewMachine(isa)
-		if err := m.Start(entry); err != nil {
-			return nil, nil, err
+	}
+	if len(cached) == 0 {
+		return nil, nil, fmt.Errorf("%w: every configuration in %v is uncached", ErrUncalibrated, cfgs)
+	}
+	ic, dc := newCacheSet(), newCacheSet()
+	for _, cfg := range cached {
+		ic.get(cfg.ISize)
+		dc.get(cfg.DSize)
+	}
+	pred, err := predictorFor(base.Branch.Predictor)
+	if err != nil {
+		return nil, nil, err
+	}
+	bp := branch.Stats{P: pred}
+	m := iss.NewMachine(isa)
+	if err := m.Start(entry); err != nil {
+		return nil, nil, err
+	}
+	var t iss.Trace
+	for {
+		if err := m.Step(&t); err != nil {
+			return nil, nil, fmt.Errorf("rtl: calibrating %v: %w", cached, err)
 		}
-		cpu, err := NewCPU(m, CPUConfig{
-			Model:  base,
-			ICache: RealCacheConfig(cfg.ISize),
-			DCache: RealCacheConfig(cfg.DSize),
-		})
-		if err != nil {
-			return nil, nil, err
+		if !t.Executed {
+			break
 		}
-		if err := cpu.Run(limit); err != nil {
-			return nil, nil, fmt.Errorf("rtl: calibrating %v: %w", cfg, err)
+		pc := iss.PCAddr(t.PC)
+		for _, c := range ic.live {
+			c.Access(pc)
 		}
-		st := cpu.MemStatsSnapshot()
+		for _, c := range dc.live {
+			for _, a := range t.DAddrs {
+				c.Access(a)
+			}
+		}
+		if t.Branch {
+			bp.Resolve(pc, t.Taken)
+		}
+		if t.Done {
+			break
+		}
+		if limit != 0 && m.Steps > limit {
+			return nil, nil, fmt.Errorf("rtl: calibrating %v: step limit %d exceeded", cached, limit)
+		}
+	}
+
+	out := base.Clone()
+	out.Calib = nil // recalibration replaces any prior provenance
+	extLat := uint64(base.Mem.ExtLatency)
+	rep.BranchMiss = bp.MissRate()
+	rep.Steps = m.Steps
+	for _, cfg := range cached {
+		st := memStats(ic.get(cfg.ISize), dc.get(cfg.DSize), extLat)
 		if err := st.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("rtl: calibrating %v: degenerate statistics: %w", cfg, err)
 		}
 		out.Mem.Table[cfg] = st
 		rep.Stats = append(rep.Stats, CalibStats{
-			Cfg: cfg, Mem: st, BranchMiss: cpu.BP.MissRate(), Steps: cpu.M.Steps,
+			Cfg: cfg, Mem: st, BranchMiss: rep.BranchMiss, Steps: rep.Steps,
 		})
-	}
-	if len(rep.Stats) == 0 {
-		return nil, nil, fmt.Errorf("%w: every configuration in %v is uncached", ErrUncalibrated, cfgs)
-	}
-	first := rep.Stats[0]
-	for _, cs := range rep.Stats[1:] {
-		if cs.BranchMiss != first.BranchMiss || cs.Steps != first.Steps {
-			return nil, nil, fmt.Errorf(
-				"rtl: branch calibration is config-dependent (%v: miss %.6f over %d steps, %v: miss %.6f over %d steps) — training entry %q is not self-contained",
-				first.Cfg, first.BranchMiss, first.Steps, cs.Cfg, cs.BranchMiss, cs.Steps, entry)
-		}
-	}
-	out.Branch.MissRate = first.BranchMiss
-	rep.BranchMiss = first.BranchMiss
-	rep.Steps = first.Steps
-	for _, cs := range rep.Stats {
 		out.Calib = append(out.Calib, pum.CalibSource{
-			Cfg: cs.Cfg, Train: rep.Train, Steps: cs.Steps, BranchMiss: cs.BranchMiss,
+			Cfg: cfg, Train: rep.Train, Steps: rep.Steps, BranchMiss: rep.BranchMiss,
 		})
 	}
+	out.Branch.MissRate = rep.BranchMiss
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("rtl: calibrated model invalid: %w", err)
 	}
 	return out, rep, nil
+}
+
+// cacheSet holds one board cache per distinct size, so configurations that
+// share a geometry share its statistics.
+type cacheSet struct {
+	bySize map[int]*cache.Cache
+	live   []*cache.Cache // the enabled caches, in first-use order
+}
+
+func newCacheSet() *cacheSet { return &cacheSet{bySize: map[int]*cache.Cache{}} }
+
+// get returns the cache of the given size, building it on first use; a
+// size of 0 yields a disabled cache that is never accessed.
+func (s *cacheSet) get(size int) *cache.Cache {
+	c, ok := s.bySize[size]
+	if !ok {
+		c = cache.New(RealCacheConfig(size))
+		s.bySize[size] = c
+		if c.Enabled() {
+			s.live = append(s.live, c)
+		}
+	}
+	return c
 }

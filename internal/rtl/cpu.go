@@ -29,7 +29,8 @@ type CPUConfig struct {
 }
 
 // RealCacheConfig is the board's cache organization for a given size:
-// 2-way set-associative with 16-byte lines, LRU.
+// 2-way set-associative with 16-byte lines, replacing the first invalid
+// way, else the last way (see cache.Cache).
 func RealCacheConfig(size int) cache.Config {
 	return cache.Config{Size: size, LineBytes: cache.DefaultLine, Assoc: 2}
 }
@@ -162,23 +163,29 @@ func (c *CPU) Run(limit uint64) error {
 }
 
 // MemStatsSnapshot returns the observed cache statistics in PUM form, the
-// raw material of calibration. A disabled cache side (size 0 in a mixed
+// form calibration records them in. A disabled cache side (size 0 in a mixed
 // I/D geometry) is reported as hit rate 0: on the board every access on
 // that side pays the external latency, and the statistical model must say
 // the same — the idle-cache HitRate default of 1.0 would make estimation
 // charge nothing for a path the board charges ExtLatency per access.
 func (c *CPU) MemStatsSnapshot() pum.MemStats {
+	return memStats(c.IC, c.DC, c.extLat)
+}
+
+// memStats converts an I/D cache pair's observed hit rates into PUM form;
+// a disabled side reads hit rate 0 (see MemStatsSnapshot).
+func memStats(ic, dc *cache.Cache, extLat uint64) pum.MemStats {
 	st := pum.MemStats{
 		IHitDelay:    0,
 		DHitDelay:    0,
-		IMissPenalty: float64(c.extLat),
-		DMissPenalty: float64(c.extLat),
+		IMissPenalty: float64(extLat),
+		DMissPenalty: float64(extLat),
 	}
-	if c.IC.Enabled() {
-		st.IHitRate = c.IC.HitRate()
+	if ic.Enabled() {
+		st.IHitRate = ic.HitRate()
 	}
-	if c.DC.Enabled() {
-		st.DHitRate = c.DC.HitRate()
+	if dc.Enabled() {
+		st.DHitRate = dc.HitRate()
 	}
 	return st
 }
